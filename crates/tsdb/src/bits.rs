@@ -79,9 +79,16 @@ impl BitWriter {
 
     /// A reader positioned at the start of this writer's bits.
     pub fn reader(&self) -> BitReader<'_> {
+        self.reader_at(0)
+    }
+
+    /// A reader positioned `bit_pos` bits into this writer's bits, e.g.
+    /// at a decoder checkpoint. `bit_pos` must be ≤ [`Self::len_bits`].
+    pub fn reader_at(&self, bit_pos: usize) -> BitReader<'_> {
+        debug_assert!(bit_pos <= self.len_bits, "reader past the end");
         BitReader {
             buf: &self.buf,
-            pos: 0,
+            pos: bit_pos,
             len_bits: self.len_bits,
         }
     }
@@ -172,6 +179,16 @@ mod tests {
         }
         assert_eq!(w.capacity_bytes(), cap, "no growth within the reserve");
         assert_eq!(w.len_bytes(), cap);
+    }
+
+    #[test]
+    fn reader_at_resumes_mid_stream() {
+        let mut w = BitWriter::new();
+        w.push_bits(0b1, 1);
+        w.push_bits(0xabc, 12);
+        let mut r = w.reader_at(1);
+        assert_eq!(r.read_bits(12), Some(0xabc));
+        assert_eq!(w.reader_at(w.len_bits()).remaining(), 0);
     }
 
     #[test]

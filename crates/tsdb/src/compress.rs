@@ -16,13 +16,42 @@
 //! Unlike the paper we never quantise: values round-trip through
 //! `f64::to_bits`, so decompression is **bit-exact** (NaN payloads
 //! included) — the property the golden artifacts and proptests pin.
+//!
+//! # Checkpoints
+//!
+//! Beside the payload, the encoder keeps a sparse index: the decoder
+//! state after every 64th sample (bit position, timestamp, delta, value
+//! bits, leading/trailing window). [`GorillaEncoder::decode_range`]
+//! resumes at the last checkpoint before a query's range, so a window
+//! read decodes the window plus about one checkpoint interval, however
+//! long the series has grown. The index is not part of the payload:
+//! [`GorillaEncoder::compressed_bytes`] and every decoded bit are the
+//! same with or without it.
 
 use crate::bits::{BitReader, BitWriter};
+
+/// Samples per checkpoint interval: checkpoint `k` holds the decoder
+/// state right after sample `k · CHECKPOINT_EVERY`.
+const CHECKPOINT_EVERY: usize = 64;
+
+/// Decoder state right after one sample: enough to decode every later
+/// sample without reading any earlier bit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Checkpoint {
+    /// Where the next sample's bits start.
+    bit_pos: usize,
+    t: u64,
+    delta: i64,
+    v_bits: u64,
+    leading: u32,
+    trailing: u32,
+}
 
 /// Streaming encoder for one series.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct GorillaEncoder {
     bits: BitWriter,
+    checkpoints: Vec<Checkpoint>,
     count: u64,
     prev_t: u64,
     prev_delta: i64,
@@ -61,10 +90,14 @@ impl GorillaEncoder {
     }
 
     /// Reserves buffer space for roughly `samples` more appends at the
-    /// worst-case encoded width (~18 bytes), so appends within the
-    /// reserve never touch the allocator.
+    /// worst-case encoded width (~18 bytes), and room for the checkpoints
+    /// they add, so appends within the reserve never touch the allocator.
     pub fn reserve_samples(&mut self, samples: usize) {
         self.bits.reserve(samples.saturating_mul(18));
+        let count = self.count as usize;
+        let due = count.saturating_add(samples).div_ceil(CHECKPOINT_EVERY)
+            - count.div_ceil(CHECKPOINT_EVERY);
+        self.checkpoints.reserve(due);
     }
 
     /// Samples encoded so far.
@@ -89,23 +122,38 @@ impl GorillaEncoder {
 
     /// Appends `(t_us, v)`; timestamps must be non-decreasing.
     pub fn push(&mut self, t_us: u64, v: f64) -> Result<(), TimeRegression> {
-        let v_bits = v.to_bits();
-        if self.count == 0 {
-            self.bits.push_bits(t_us, 64);
-            self.bits.push_bits(v_bits, 64);
-            self.prev_t = t_us;
-            self.prev_delta = 0;
-            self.prev_v_bits = v_bits;
-            self.count = 1;
-            return Ok(());
-        }
+        // An empty encoder's `prev_t` is 0, so the first sample always passes.
         if t_us < self.prev_t {
             return Err(TimeRegression {
                 last_us: self.prev_t,
                 got_us: t_us,
             });
         }
-        let delta = (t_us - self.prev_t) as i64;
+        let v_bits = v.to_bits();
+        if self.count == 0 {
+            self.bits.push_bits(t_us, 64);
+            self.bits.push_bits(v_bits, 64);
+        } else {
+            self.push_delta((t_us - self.prev_t) as i64);
+            self.push_xor(v_bits ^ self.prev_v_bits);
+        }
+        self.prev_t = t_us;
+        self.prev_v_bits = v_bits;
+        if (self.count as usize).is_multiple_of(CHECKPOINT_EVERY) {
+            self.checkpoints.push(Checkpoint {
+                bit_pos: self.bits.len_bits(),
+                t: t_us,
+                delta: self.prev_delta,
+                v_bits,
+                leading: self.prev_leading,
+                trailing: self.prev_trailing,
+            });
+        }
+        self.count += 1;
+        Ok(())
+    }
+
+    fn push_delta(&mut self, delta: i64) {
         let dod = delta - self.prev_delta;
         match dod {
             0 => self.bits.push_bit(false),
@@ -127,67 +175,90 @@ impl GorillaEncoder {
             }
         }
         self.prev_delta = delta;
-        self.prev_t = t_us;
+    }
 
-        let xor = v_bits ^ self.prev_v_bits;
+    fn push_xor(&mut self, xor: u64) {
         if xor == 0 {
             self.bits.push_bit(false);
+            return;
+        }
+        self.bits.push_bit(true);
+        let leading = xor.leading_zeros().min(31);
+        let trailing = xor.trailing_zeros();
+        if self.window_valid && leading >= self.prev_leading && trailing >= self.prev_trailing {
+            // The previous meaningful-bit window still covers us.
+            self.bits.push_bit(false);
+            let sig = 64 - self.prev_leading - self.prev_trailing;
+            self.bits.push_bits(xor >> self.prev_trailing, sig);
         } else {
             self.bits.push_bit(true);
-            let leading = xor.leading_zeros().min(31);
-            let trailing = xor.trailing_zeros();
-            if self.window_valid && leading >= self.prev_leading && trailing >= self.prev_trailing {
-                // The previous meaningful-bit window still covers us.
-                self.bits.push_bit(false);
-                let sig = 64 - self.prev_leading - self.prev_trailing;
-                self.bits.push_bits(xor >> self.prev_trailing, sig);
-            } else {
-                self.bits.push_bit(true);
-                let sig = 64 - leading - trailing;
-                self.bits.push_bits(leading as u64, 5);
-                self.bits.push_bits((sig - 1) as u64, 6);
-                self.bits.push_bits(xor >> trailing, sig);
-                self.prev_leading = leading;
-                self.prev_trailing = trailing;
-                self.window_valid = true;
-            }
+            let sig = 64 - leading - trailing;
+            self.bits.push_bits(leading as u64, 5);
+            self.bits.push_bits((sig - 1) as u64, 6);
+            self.bits.push_bits(xor >> trailing, sig);
+            self.prev_leading = leading;
+            self.prev_trailing = trailing;
+            self.window_valid = true;
         }
-        self.prev_v_bits = v_bits;
-        self.count += 1;
-        Ok(())
     }
 
     /// Decodes every sample back out (allocates the result vector).
     pub fn decode_all(&self) -> Vec<(u64, f64)> {
-        let mut out = Vec::with_capacity(self.count as usize);
-        if self.count == 0 {
-            return out;
-        }
-        let mut r = self.bits.reader();
-        let mut t = r.read_bits(64).expect("first timestamp present");
-        let mut v_bits = r.read_bits(64).expect("first value present");
-        out.push((t, f64::from_bits(v_bits)));
-        let mut delta = 0i64;
-        let mut leading = 0u32;
-        let mut trailing = 0u32;
-        for _ in 1..self.count {
-            let dod = Self::read_dod(&mut r);
-            delta += dod;
+        self.decode_range(0, u64::MAX)
+    }
+
+    /// Decodes what a `(from, to]` query needs, in order: the counter
+    /// baseline (the last sample at or before `from`), then every sample
+    /// in `(from, to]`. A range from the epoch keeps every `t = 0` sample,
+    /// as [`crate::query`]'s range convention includes them. Decoding
+    /// starts at the last checkpoint stamped before `from` and stops at
+    /// the first sample past `to`, so it decodes the window plus at most
+    /// one checkpoint interval before it (more only when a run of equal
+    /// timestamps spans checkpoints), not the whole series.
+    ///
+    /// Every query in [`crate::query`] gives the same bits over this
+    /// slice as over [`GorillaEncoder::decode_all`] for the same range.
+    pub fn decode_range(&self, from_us: u64, to_us: u64) -> Vec<(u64, f64)> {
+        let first = self
+            .checkpoints
+            .partition_point(|c| c.t < from_us)
+            .saturating_sub(1);
+        let Some(cp) = self.checkpoints.get(first) else {
+            return Vec::new();
+        };
+        let start = first * CHECKPOINT_EVERY;
+        // Samples from the first checkpoint stamped after `to` on are never
+        // returned, which bounds the result's length.
+        let stop = self.checkpoints.partition_point(|c| c.t <= to_us);
+        let end = (stop * CHECKPOINT_EVERY).min(self.count as usize);
+        let mut out = Vec::with_capacity(end.saturating_sub(start));
+        let mut index = start as u64;
+
+        let mut r = self.bits.reader_at(cp.bit_pos);
+        let (mut t, mut delta, mut v_bits) = (cp.t, cp.delta, cp.v_bits);
+        let (mut leading, mut trailing) = (cp.leading, cp.trailing);
+        while t <= to_us {
+            if from_us > 0 && t <= from_us {
+                // A later baseline supersedes everything decoded so far.
+                out.clear();
+            }
+            out.push((t, f64::from_bits(v_bits)));
+            index += 1;
+            if index == self.count {
+                break;
+            }
+            delta += Self::read_dod(&mut r);
             t = (t as i64 + delta) as u64;
             if r.read_bit().expect("value control bit") {
                 if r.read_bit().expect("window control bit") {
                     leading = r.read_bits(5).expect("leading count") as u32;
                     let sig = r.read_bits(6).expect("length field") as u32 + 1;
                     trailing = 64 - leading - sig;
-                    let bits = r.read_bits(sig).expect("meaningful bits");
-                    v_bits ^= bits << trailing;
-                } else {
-                    let sig = 64 - leading - trailing;
-                    let bits = r.read_bits(sig).expect("meaningful bits");
-                    v_bits ^= bits << trailing;
                 }
+                let sig = 64 - leading - trailing;
+                let bits = r.read_bits(sig).expect("meaningful bits");
+                v_bits ^= bits << trailing;
             }
-            out.push((t, f64::from_bits(v_bits)));
         }
         out
     }
@@ -274,11 +345,54 @@ mod tests {
     #[test]
     fn reserve_bounds_allocation() {
         let mut enc = GorillaEncoder::new();
-        enc.reserve_samples(100);
+        enc.reserve_samples(200);
         let cap = enc.bits.capacity_bytes();
-        for i in 0..100u64 {
+        let index_cap = enc.checkpoints.capacity();
+        for i in 0..200u64 {
             enc.push(i * 1234, i as f64 * 0.1).unwrap();
         }
         assert_eq!(enc.bits.capacity_bytes(), cap, "stayed within the reserve");
+        assert_eq!(enc.checkpoints.len(), 4, "samples 0, 64, 128, 192");
+        assert_eq!(enc.checkpoints.capacity(), index_cap, "index too");
+        // A reserve taken mid-series covers the checkpoints still due.
+        enc.reserve_samples(100);
+        let index_cap = enc.checkpoints.capacity();
+        for i in 200..300u64 {
+            enc.push(i * 1234, 1.0).unwrap();
+        }
+        assert_eq!(enc.checkpoints.len(), 5);
+        assert_eq!(enc.checkpoints.capacity(), index_cap);
+    }
+
+    #[test]
+    fn decode_range_is_the_baseline_plus_the_window() {
+        let all: Vec<(u64, f64)> = (0..1000).map(|i| (i * 10, i as f64)).collect();
+        let mut enc = GorillaEncoder::new();
+        for &(t, v) in &all {
+            enc.push(t, v).unwrap();
+        }
+        // (4990, 5200]: baseline 4990, then 5000 … 5200.
+        let got = enc.decode_range(4990, 5200);
+        assert_eq!(got, all[499..=520]);
+        assert_eq!(enc.decode_range(0, 0), vec![(0, 0.0)]);
+        // A range past the last sample holds just the baseline.
+        assert_eq!(enc.decode_range(20_000, 30_000), vec![(9990, 999.0)]);
+        assert!(GorillaEncoder::new().decode_range(0, u64::MAX).is_empty());
+    }
+
+    #[test]
+    fn decode_range_keeps_every_epoch_sample_from_the_epoch() {
+        let mut samples: Vec<(u64, f64)> = (0..150).map(|i| (0, i as f64)).collect();
+        samples.push((5, -1.0));
+        let mut enc = GorillaEncoder::new();
+        for &(t, v) in &samples {
+            enc.push(t, v).unwrap();
+        }
+        // The last checkpoint at t = 0 is sample 128, yet a range from the
+        // epoch holds all 150 epoch samples.
+        assert_eq!(enc.decode_range(0, 5), samples);
+        assert_eq!(enc.decode_all(), samples);
+        // Later ranges need only the last of them as a baseline.
+        assert_eq!(enc.decode_range(3, 5), vec![(0, 149.0), (5, -1.0)]);
     }
 }

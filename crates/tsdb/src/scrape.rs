@@ -98,7 +98,7 @@ impl Scraper {
     }
 
     /// Attaches a constant label to every scraped series (e.g.
-    /// `tier="edge"`), enabling `sum by (tier)` across scrapers.
+    /// `tier="edge"`), so scrapers of several tiers can share one store.
     pub fn with_label(mut self, key: &str, value: &str) -> Self {
         self.labels.push((key.to_string(), value.to_string()));
         self

@@ -162,15 +162,12 @@ impl Series {
         self.enc.decode_all()
     }
 
-    /// Replaces the payload with `samples` (used by retention compaction).
-    pub fn replace_samples(&mut self, samples: &[(u64, f64)]) {
-        let mut enc = GorillaEncoder::new();
-        enc.reserve_samples(samples.len());
-        for &(t, v) in samples {
-            enc.push(t, v).expect("sorted input");
-        }
-        self.last_v = samples.last().map(|&(_, v)| v).unwrap_or(0.0);
-        self.enc = enc;
+    /// The samples a `(from, to]` query needs: the last sample at or
+    /// before `from`, then those in the range. Decodes the range plus at
+    /// most one checkpoint interval, see
+    /// [`GorillaEncoder::decode_range`].
+    pub fn samples_range(&self, from_us: u64, to_us: u64) -> Vec<(u64, f64)> {
+        self.enc.decode_range(from_us, to_us)
     }
 }
 

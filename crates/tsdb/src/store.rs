@@ -1,19 +1,19 @@
-//! The store: a sorted map of compressed series plus their rollups.
+//! The store: a sorted map of compressed series.
 
 use std::collections::BTreeMap;
 
 use serde_json::{json, Value};
-use simclock::{SimDuration, SimTime};
+use simclock::SimTime;
 
 use crate::compress::TimeRegression;
-use crate::rollup::WindowAgg;
 use crate::series::{Series, SeriesId};
 
 /// Deterministic in-memory time-series store.
 ///
 /// Series live in a `BTreeMap` keyed by [`SeriesId`], so iteration,
 /// export, and the artifact fingerprint are byte-stable. Appends are
-/// cheap (Gorilla-encoded, see [`crate::compress`]); reads decompress.
+/// cheap (Gorilla-encoded, see [`crate::compress`]); reads decompress,
+/// and a range read ([`Tsdb::samples_range`]) decompresses only the range.
 ///
 /// # Examples
 ///
@@ -32,9 +32,6 @@ use crate::series::{Series, SeriesId};
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Tsdb {
     series: BTreeMap<SeriesId, Series>,
-    /// Rollups per series, keyed by window width (µs), maintained by
-    /// [`crate::rollup::RetentionLadder::compact`].
-    rollups: BTreeMap<SeriesId, BTreeMap<u64, Vec<WindowAgg>>>,
     /// Samples reserved per new series (allocation-bounding hint).
     capacity_hint: usize,
 }
@@ -91,6 +88,14 @@ impl Tsdb {
         self.get(id).map(Series::samples).unwrap_or_default()
     }
 
+    /// The samples of `id`'s series a `(from, to]` query needs (empty
+    /// when absent); see [`Series::samples_range`].
+    pub fn samples_range(&self, id: &SeriesId, from_us: u64, to_us: u64) -> Vec<(u64, f64)> {
+        self.get(id)
+            .map(|s| s.samples_range(from_us, to_us))
+            .unwrap_or_default()
+    }
+
     /// Decoded samples of the label-less series named `name`.
     pub fn samples_name(&self, name: &str) -> Vec<(u64, f64)> {
         self.samples(&SeriesId::new(name))
@@ -99,14 +104,6 @@ impl Tsdb {
     /// Every series in canonical order.
     pub fn iter(&self) -> impl Iterator<Item = &Series> {
         self.series.values()
-    }
-
-    /// Stored rollups for `id` at window width `width`, if any.
-    pub fn rollups(&self, id: &SeriesId, width: SimDuration) -> Option<&[WindowAgg]> {
-        self.rollups
-            .get(id)?
-            .get(&width.as_micros())
-            .map(Vec::as_slice)
     }
 
     /// Series count.
@@ -134,22 +131,8 @@ impl Tsdb {
         self.series.values().map(Series::raw_bytes).sum()
     }
 
-    /// Runs `f` over every series' decoded samples and rollup map, then
-    /// re-encodes whatever `f` left behind. Retention compaction hook.
-    pub(crate) fn compact_with<F>(&mut self, mut f: F)
-    where
-        F: FnMut(&mut Vec<(u64, f64)>, &mut BTreeMap<u64, Vec<WindowAgg>>),
-    {
-        for (id, series) in &mut self.series {
-            let mut samples = series.samples();
-            let rollups = self.rollups.entry(id.clone()).or_default();
-            f(&mut samples, rollups);
-            series.replace_samples(&samples);
-        }
-    }
-
     /// Canonical JSON rendering: every series in sorted order with its
-    /// decoded timestamps and values, rollups, and store totals. This is
+    /// decoded timestamps and values, and store totals. This is
     /// the flight-recorder payload — byte-stable for a given store.
     pub fn to_json(&self) -> Value {
         let series: Vec<Value> = self
@@ -168,35 +151,11 @@ impl Tsdb {
                 })
             })
             .collect();
-        let rollups: Vec<Value> = self
-            .rollups
-            .iter()
-            .flat_map(|(id, by_width)| {
-                by_width.iter().map(move |(width, aggs)| {
-                    let rows: Vec<Value> = aggs
-                        .iter()
-                        .map(|a| {
-                            json!({
-                                "start_us": a.start_us,
-                                "min": a.min,
-                                "max": a.max,
-                                "sum": a.sum,
-                                "count": a.count,
-                                "last": a.last,
-                            })
-                        })
-                        .collect();
-                    json!({
-                        "id": id.canonical(),
-                        "width_us": width,
-                        "windows": rows,
-                    })
-                })
-            })
-            .collect();
         json!({
             "series": series,
-            "rollups": rollups,
+            // Kept for the `sctsdb-flight-v1` schema; the store keeps no
+            // rollups.
+            "rollups": [],
             "totals": {
                 "series": self.len(),
                 "samples": self.total_samples(),
@@ -250,6 +209,25 @@ mod tests {
     }
 
     #[test]
+    fn window_reads_cost_the_window_not_the_history() {
+        // 100 000 samples, one per second; windows of 600 samples.
+        let all: Vec<(u64, f64)> = (0..100_000).map(|i| (i * 1_000_000, i as f64)).collect();
+        let mut db = Tsdb::new();
+        let id = SeriesId::new("c");
+        for &(t, v) in &all {
+            db.record(&id, SimTime::from_micros(t), v).unwrap();
+        }
+        let (from, to) = (99_399_000_000, 99_999_000_000);
+        let window = all.iter().filter(|&&(t, _)| t > from && t <= to).count();
+        assert_eq!(window, 600);
+        let got = db.samples_range(&id, from, to);
+        // The window, its baseline, and never more than one checkpoint
+        // interval: the read does not grow with the day so far.
+        assert!(got.len() <= window + 64 + 1, "{} samples", got.len());
+        assert_eq!(got, all[all.len() - window - 1..]);
+    }
+
+    #[test]
     fn json_is_sorted_and_self_describing() {
         let mut db = Tsdb::new();
         db.record_name("zz", SimTime::ZERO, 1.0).unwrap();
@@ -258,5 +236,6 @@ mod tests {
         assert_eq!(v["series"][0]["id"], "aa");
         assert_eq!(v["series"][1]["id"], "zz");
         assert_eq!(v["totals"]["samples"], 2);
+        assert_eq!(v["rollups"], serde_json::json!([]), "flight schema field");
     }
 }

@@ -23,8 +23,8 @@
 //!   p50/p99/max exemplars, Chrome-trace / flamegraph exporters, and a
 //!   deterministic multi-window burn-rate SLO alerting engine),
 //!   [`tsdb`] (deterministic in-memory time-series store: Gorilla-style
-//!   delta-of-delta + XOR compression, windowed rollups with a retention
-//!   ladder, PromQL-flavoured queries and recording rules, registry
+//!   delta-of-delta + XOR compression with checkpointed range reads,
+//!   PromQL-flavoured queries and window-local recording rules, registry
 //!   scraping on a sim-time cadence, and the E19 flight-recorder
 //!   artifact).
 //! - **Runtime** — [`par`] (deterministic worker pool: any thread count
