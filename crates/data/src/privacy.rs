@@ -17,7 +17,7 @@
 //! linkability for releases to different parties.
 
 use scgeo::GeoPoint;
-use simclock::SimTime;
+use simclock::{Fnv1a, SimTime};
 
 use crate::city::{CrimeRecord, PersonRole};
 
@@ -81,14 +81,10 @@ impl Anonymizer {
     /// under another.
     pub fn pseudonym(&self, person_id: u32) -> Pseudonym {
         // Keyed FNV-1a over (key || id).
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ self.key;
-        for b in person_id.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        let mut fnv = Fnv1a::with_key(self.key);
+        fnv.write(&person_id.to_le_bytes());
         // One more mixing round with the key.
-        h ^= self.key.rotate_left(17);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        let h = (fnv.finish() ^ self.key.rotate_left(17)).wrapping_mul(Fnv1a::PRIME);
         Pseudonym(format!("subj-{h:016x}"))
     }
 

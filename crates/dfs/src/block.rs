@@ -1,6 +1,7 @@
 //! Blocks and checksums.
 
 use bytes::Bytes;
+use simclock::Fnv1a;
 
 /// Identifier of a data block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -49,12 +50,7 @@ impl Block {
 
 /// FNV-1a 64-bit hash used as the block checksum.
 pub fn checksum(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    Fnv1a::hash(data)
 }
 
 #[cfg(test)]

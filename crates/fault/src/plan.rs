@@ -8,8 +8,9 @@
 //! failure behaviour at any thread count.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write;
 
-use simclock::{SeededRng, SimDuration, SimTime};
+use simclock::{Fnv1a, SeededRng, SimDuration, SimTime};
 
 /// Sentinel instant for "never recovers": an unmatched [`FaultKind::NodeCrash`]
 /// keeps its target down until this far-future time.
@@ -290,12 +291,9 @@ impl FaultPlan {
     /// FNV-1a digest of the full schedule — a cheap identity for
     /// "same seed ⇒ same plan" assertions.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in format!("{:?}", self.events).bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
+        let mut h = Fnv1a::default();
+        write!(h, "{:?}", self.events).expect("hashing cannot fail");
+        h.finish()
     }
 }
 

@@ -24,9 +24,9 @@
 use scneural::exec::ExecCtx;
 use scneural::net::Sequential;
 use scneural::tensor::Tensor;
-use simclock::{SimDuration, SimTime};
+use simclock::{Fnv1a, SimDuration, SimTime};
 
-use crate::shard::hash_bytes;
+use crate::shard::scramble;
 
 /// Batching knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,12 +53,12 @@ pub struct ReqId(pub u64);
 /// Stable fingerprint of an input row: the FNV/splitmix hash of its f32
 /// bit patterns. Used both for coalescing and as the inference-cache key.
 pub fn row_fingerprint(row: &[f32]) -> u64 {
-    let mut bytes = Vec::with_capacity(row.len() * 4 + 8);
-    bytes.extend_from_slice(&(row.len() as u64).to_le_bytes());
+    let mut h = Fnv1a::default();
+    h.write(&(row.len() as u64).to_le_bytes());
     for v in row {
-        bytes.extend_from_slice(&v.to_bits().to_le_bytes());
+        h.write(&v.to_bits().to_le_bytes());
     }
-    hash_bytes(&bytes)
+    scramble(h.finish())
 }
 
 /// One flushed batch: per-request outputs plus what the batch looked like.

@@ -30,20 +30,20 @@
 //! on every request.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use scfault::{CircuitBreaker, FaultPlan, OutageWindows};
 use scneural::exec::ExecCtx;
 use scneural::net::Sequential;
 use scnosql::document::{Collection, Doc, DocId, Filter};
 use scnosql::NosqlError;
-use scpar::ScparConfig;
 use sctelemetry::{SpanContext, SpanGuard, TelemetryHandle, TraceId, WorkDelta, STREAM_SERVE};
 use simclock::{SimDuration, SimTime};
 
 use crate::admission::{Admission, ServiceQueue, TokenBucket};
 use crate::batch::{row_fingerprint, BatchConfig, MicroBatcher, ReqId};
 use crate::cache::{CacheConfig, InferenceCache, QueryCache};
-use crate::shard::{hash_bytes, ShardMap};
+use crate::shard::{hash_fmt, ShardMap};
 
 /// Sim-time cost charged for an answer served straight from memory
 /// (cache hit, stale serve): no queueing, no backend work.
@@ -57,7 +57,11 @@ pub const KERNEL_ADMISSION: &str = "serve/admission";
 pub const KERNEL_CACHE: &str = "serve/cache";
 
 /// Rows returned by a query: `(key, document)` pairs in key order.
-pub type Rows = Vec<(String, Doc)>;
+///
+/// Answers are immutable and shared: the query cache and every caller
+/// served from it hold the same allocation, so a cache hit is a
+/// reference-count bump rather than a copy of every key and document.
+pub type Rows = Arc<[(String, Doc)]>;
 
 /// All serving knobs in one place.
 #[derive(Debug, Clone)]
@@ -364,13 +368,6 @@ impl Server {
         self.batcher.set_max_batch(tuned);
     }
 
-    /// Sets the worker-pool configuration used for batched inference.
-    #[deprecated(since = "0.2.0", note = "use `with_ctx(ExecCtx)` instead")]
-    pub fn with_par(mut self, par: ScparConfig) -> Self {
-        self.ctx = self.ctx.with_par(par);
-        self
-    }
-
     // ------------------------------------------------------------------
     // Runtime reconfiguration (the autoscaler's knobs)
     // ------------------------------------------------------------------
@@ -478,9 +475,9 @@ impl Server {
     pub fn put(&mut self, key: &str, doc: Doc, now: SimTime) -> Result<(), NosqlError> {
         // Replica writes apply the same doc, so a validation failure hits
         // the first replica before anything is stored — no partial writes.
-        if let Some(existing) = self.directory.get(key).cloned() {
+        if let Some(existing) = self.directory.get(key) {
             // Replace: update in place on each replica.
-            for (node, id) in &existing {
+            for (node, id) in existing {
                 let shard = self.shards.get_mut(node).expect("directory is consistent");
                 shard.collection.update(*id, doc.clone())?;
             }
@@ -666,7 +663,7 @@ impl Server {
                 latency: SimDuration::ZERO,
             });
         }
-        let fp = hash_bytes(format!("get:{key}").as_bytes());
+        let fp = hash_fmt(format_args!("get:{key}"));
         if let Some((gen, rows)) = self.query_cache.get(&fp, now) {
             if gen == self.generation {
                 self.note_hit();
@@ -687,7 +684,7 @@ impl Server {
         if !self.breaker.allow(now) {
             return Ok(self.stale_get(fp, now, ctx));
         }
-        let placements = self.directory.get(key).cloned().unwrap_or_default();
+        let placements = self.directory.get(key).map_or(&[][..], Vec::as_slice);
         let mut chosen: Option<(u32, DocId)> = None;
         for (i, (node, id)) in placements.iter().enumerate() {
             if !self.shard_down(*node, now) {
@@ -722,7 +719,7 @@ impl Server {
                 // Key simply does not exist; an authoritative miss.
                 self.breaker.record_success();
                 self.query_cache
-                    .insert(fp, (self.generation, Vec::new()), now);
+                    .insert(fp, (self.generation, Rows::default()), now);
                 let latency = wait + self.queue.service_time();
                 self.trace_request("request/get", now, now + latency, ctx, |g| {
                     g.child_span("admission/queue", now, now + wait);
@@ -791,7 +788,7 @@ impl Server {
                 latency: SimDuration::ZERO,
             });
         }
-        let fp = hash_bytes(format!("query:{filter:?}").as_bytes());
+        let fp = hash_fmt(format_args!("query:{filter:?}"));
         if let Some((gen, rows)) = self.query_cache.get(&fp, now) {
             if gen == self.generation {
                 self.note_hit();
@@ -814,23 +811,28 @@ impl Server {
         }
 
         // Canonical owner per key: its first live replica. Keys with no
-        // live replica make the answer degraded.
+        // live replica make the answer degraded. With every shard live,
+        // each key's owner is its primary: nothing is rerouted or
+        // unreachable, so the directory walk and owner map are skipped.
+        let all_live = self.shards.keys().all(|&node| !self.shard_down(node, now));
         let mut owner: BTreeMap<&str, u32> = BTreeMap::new();
         let mut unreachable = 0usize;
         let mut rerouted = 0u64;
-        for (key, placements) in &self.directory {
-            match placements
-                .iter()
-                .enumerate()
-                .find(|(_, (node, _))| !self.shard_down(*node, now))
-            {
-                Some((i, (node, _))) => {
-                    if i > 0 {
-                        rerouted += 1;
+        if !all_live {
+            for (key, placements) in &self.directory {
+                match placements
+                    .iter()
+                    .enumerate()
+                    .find(|(_, (node, _))| !self.shard_down(*node, now))
+                {
+                    Some((i, (node, _))) => {
+                        if i > 0 {
+                            rerouted += 1;
+                        }
+                        owner.insert(key.as_str(), *node);
                     }
-                    owner.insert(key.as_str(), *node);
+                    None => unreachable += 1,
                 }
-                None => unreachable += 1,
             }
         }
         if rerouted > 0 {
@@ -842,19 +844,25 @@ impl Server {
             );
         }
 
-        let mut rows: Rows = Vec::new();
+        let mut rows = Vec::new();
         for (&node, shard) in &self.shards {
             if self.shard_down(node, now) {
                 continue;
             }
             for (id, doc) in shard.collection.find(filter)? {
                 let key = shard.keys.get(&id).expect("every doc has a serving key");
-                if owner.get(key.as_str()) == Some(&node) {
+                let owned = if all_live {
+                    self.directory[key][0].0 == node
+                } else {
+                    owner.get(key.as_str()) == Some(&node)
+                };
+                if owned {
                     rows.push((key.clone(), doc.clone()));
                 }
             }
         }
         rows.sort_by(|(a, _), (b, _)| a.cmp(b));
+        let rows = Rows::from(rows);
 
         if unreachable > 0 {
             self.breaker.record_failure(now);

@@ -15,6 +15,9 @@
 //! same answer on every platform and thread count.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::{self, Write};
+
+use simclock::Fnv1a;
 
 /// FNV-1a 64-bit hash over raw bytes, finished with a splitmix64 scramble.
 ///
@@ -23,11 +26,19 @@ use std::collections::{BTreeMap, BTreeSet};
 /// platforms, unlike `std::hash::DefaultHasher` which is seeded per
 /// process.
 pub fn hash_bytes(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    scramble(Fnv1a::hash(bytes))
+}
+
+/// [`hash_bytes`] of the formatted text of `args`, streamed into the
+/// hasher without building a `String`.
+pub(crate) fn hash_fmt(args: fmt::Arguments<'_>) -> u64 {
+    let mut h = Fnv1a::default();
+    h.write_fmt(args).expect("hashing cannot fail");
+    scramble(h.finish())
+}
+
+/// The splitmix64 finalizer applied to a raw FNV-1a value.
+pub(crate) fn scramble(h: u64) -> u64 {
     let mut z = h.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

@@ -13,9 +13,13 @@
 //!   add/remove cycles: across arbitrary autoscale interleavings a
 //!   served answer never reflects a state older than the latest
 //!   acknowledged write and is never served beyond its TTL.
+//! - **Owner rule under faults** — with shards crashing over random
+//!   windows, a query answers each key from its first live replica, and
+//!   the reroute and degraded counters match a reference walk.
 
 use proptest::prelude::*;
-use scnosql::document::Doc;
+use scfault::{FaultKind, FaultPlan, OutageWindows};
+use scnosql::document::{Doc, Filter};
 use scserve::{CacheConfig, LruTtlCache, Outcome, ServeConfig, Server, ShardMap};
 use simclock::{SimDuration, SimTime};
 
@@ -320,6 +324,199 @@ proptest! {
                     server.set_rate_limit(base.rate_per_s, base.burst, now);
                 }
                 FleetOp::Advance(ms) => {
+                    now += SimDuration::from_millis(ms as u64);
+                }
+            }
+        }
+    }
+}
+
+/// One step of the owner-rule driver under shard crashes.
+#[derive(Debug, Clone)]
+enum OutageOp {
+    /// Write `key` with document kind `kind` (index into `KINDS`).
+    Put(u8, u8),
+    /// Remove `key`.
+    Remove(u8),
+    /// Read `key` and check it against the model.
+    Get(u8),
+    /// Query one kind and check rows and counters against the model.
+    Query(u8),
+    /// Add the next shard node and rebalance.
+    AddShard,
+    /// Remove the most recently added node.
+    RemoveShard,
+    /// Advance sim-time by this many milliseconds.
+    Advance(u16),
+}
+
+const KINDS: [&str; 3] = ["camera", "air", "traffic"];
+
+fn outage_op() -> impl Strategy<Value = OutageOp> {
+    prop_oneof![
+        (0u8..24, 0u8..3).prop_map(|(k, c)| OutageOp::Put(k, c)),
+        (0u8..24).prop_map(OutageOp::Remove),
+        (0u8..24).prop_map(OutageOp::Get),
+        (0u8..3).prop_map(OutageOp::Query),
+        (0u8..3).prop_map(OutageOp::Query),
+        Just(OutageOp::AddShard),
+        Just(OutageOp::RemoveShard),
+        (1u16..4_000).prop_map(OutageOp::Advance),
+    ]
+}
+
+/// `(node, start ms, length ms)` crash windows over the first 20 s.
+fn crash_windows() -> impl Strategy<Value = Vec<(u32, u64, u64)>> {
+    proptest::collection::vec((0u32..6, 0u64..20_000, 1u64..10_000), 1..10)
+}
+
+fn kind_doc(kind: usize, v: i64) -> Doc {
+    Doc::object([("kind", Doc::Str(KINDS[kind].into())), ("v", Doc::I64(v))])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The query owner rule holds under shard crashes: each key is
+    /// answered by its first live replica. Under arbitrary
+    /// put/remove/add-shard/remove-shard/get/query interleavings against
+    /// random crash windows, every `Fresh` or `Degraded` query answer
+    /// equals the model's matching documents, in key order, over the keys
+    /// with a live replica among their ring replicas; every backend query
+    /// grows `reroutes` by the keys whose primary is down but a replica is
+    /// live, and `degraded` by one exactly when some key has no live
+    /// replica. A `Cached` answer is the complete current answer.
+    #[test]
+    fn query_owner_rule_holds_under_shard_crashes(
+        replicas in 1usize..4,
+        windows in crash_windows(),
+        ops in proptest::collection::vec(outage_op(), 1..120),
+    ) {
+        let mut plan = FaultPlan::empty();
+        for &(node, start, len) in &windows {
+            let at = SimTime::from_millis(start);
+            plan = plan
+                .with_event(at, FaultKind::NodeCrash { node })
+                .with_event(at + SimDuration::from_millis(len), FaultKind::NodeRestart { node });
+        }
+        let outages = OutageWindows::node_crashes(&plan);
+        let base = ServeConfig {
+            replicas,
+            rate_per_s: 1e9,
+            burst: 1e9,
+            service_rate: 1e9,
+            queue_capacity: usize::MAX,
+            breaker_failures: u32::MAX,
+            ..ServeConfig::default()
+        };
+        let mut server = Server::new(base.clone()).with_fault_plan(&plan);
+        let mut model: std::collections::BTreeMap<String, Doc> = Default::default();
+        let mut now = SimTime::ZERO;
+        let mut version = 0i64;
+        let mut next_node = base.shards;
+        let mut added: Vec<u32> = Vec::new();
+
+        for op in ops {
+            // Each key's ring replicas, and whether the first live one is
+            // the primary (`Some(0)`), a later replica, or none at all.
+            let live_replica = |server: &Server, key: &str| {
+                let n = replicas.min(server.shard_map().len());
+                server
+                    .shard_map()
+                    .route_replicas(key.as_bytes(), n)
+                    .iter()
+                    .position(|&node| !outages.is_down(node, now))
+            };
+            match op {
+                OutageOp::Put(k, c) => {
+                    version += 1;
+                    let doc = kind_doc(c as usize, version);
+                    server.put(&format!("key-{k:02}"), doc.clone(), now).unwrap();
+                    model.insert(format!("key-{k:02}"), doc);
+                }
+                OutageOp::Remove(k) => {
+                    let key = format!("key-{k:02}");
+                    prop_assert_eq!(server.remove_key(&key, now), model.remove(&key).is_some());
+                }
+                OutageOp::Get(k) => {
+                    let key = format!("key-{k:02}");
+                    let live = live_replica(&server, &key);
+                    let served = server.get(&key, now).unwrap();
+                    match served.outcome {
+                        Outcome::Fresh(doc) => {
+                            prop_assert!(live.is_some() || !model.contains_key(&key));
+                            prop_assert_eq!(doc.as_ref(), model.get(&key), "get({}) diverged", key);
+                        }
+                        Outcome::Cached(doc) => {
+                            prop_assert_eq!(doc.as_ref(), model.get(&key), "get({}) cached", key);
+                        }
+                        Outcome::Stale(_) | Outcome::Degraded(_) => {
+                            prop_assert!(live.is_none() && model.contains_key(&key));
+                        }
+                        Outcome::Shed => prop_assert!(false, "admission is wide open"),
+                    }
+                }
+                OutageOp::Query(c) => {
+                    let kind = KINDS[c as usize];
+                    let matching = |live_only: bool| -> Vec<(String, Doc)> {
+                        model
+                            .iter()
+                            .filter(|(_, d)| d.path("kind").and_then(|x| x.as_str()) == Some(kind))
+                            .filter(|(key, _)| !live_only || live_replica(&server, key).is_some())
+                            .map(|(key, d)| (key.clone(), d.clone()))
+                            .collect()
+                    };
+                    let want_live = matching(true);
+                    let want_all = matching(false);
+                    let mut want_reroutes = 0u64;
+                    let mut unreachable = 0usize;
+                    for key in model.keys() {
+                        match live_replica(&server, key) {
+                            Some(0) => {}
+                            Some(_) => want_reroutes += 1,
+                            None => unreachable += 1,
+                        }
+                    }
+                    let before = server.stats();
+                    let served = server
+                        .query(&Filter::Eq("kind".into(), Doc::Str(kind.into())), now)
+                        .unwrap();
+                    let after = server.stats();
+                    let reroutes = after.reroutes - before.reroutes;
+                    let degraded = after.degraded - before.degraded;
+                    match served.outcome {
+                        Outcome::Cached(rows) => {
+                            prop_assert_eq!(&rows[..], &want_all[..], "cached {}", kind);
+                            prop_assert_eq!((reroutes, degraded), (0, 0));
+                        }
+                        Outcome::Fresh(rows) => {
+                            prop_assert_eq!(unreachable, 0, "fresh answer with unreachable keys");
+                            prop_assert_eq!(&rows[..], &want_live[..], "fresh {}", kind);
+                            prop_assert_eq!((reroutes, degraded), (want_reroutes, 0));
+                        }
+                        Outcome::Degraded(rows) => {
+                            prop_assert!(unreachable > 0, "degraded with every key reachable");
+                            prop_assert_eq!(&rows[..], &want_live[..], "degraded {}", kind);
+                            prop_assert_eq!((reroutes, degraded), (want_reroutes, 1));
+                        }
+                        Outcome::Stale(_) => {
+                            prop_assert!(unreachable > 0, "stale with every key reachable");
+                            prop_assert_eq!((reroutes, degraded), (want_reroutes, 1));
+                        }
+                        Outcome::Shed => prop_assert!(false, "admission is wide open"),
+                    }
+                }
+                OutageOp::AddShard => {
+                    server.add_shard(next_node);
+                    added.push(next_node);
+                    next_node += 1;
+                }
+                OutageOp::RemoveShard => {
+                    if let Some(node) = added.pop() {
+                        server.remove_shard(node);
+                    }
+                }
+                OutageOp::Advance(ms) => {
                     now += SimDuration::from_millis(ms as u64);
                 }
             }

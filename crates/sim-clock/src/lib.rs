@@ -8,6 +8,8 @@
 //!   by insertion order so simulations are reproducible).
 //! - [`SeededRng`]: a tiny, fast, fully deterministic xorshift* PRNG used
 //!   wherever cross-platform bit-for-bit reproducibility matters.
+//! - [`Fnv1a`]: the workspace's one streaming FNV-1a hash, for digests and
+//!   key hashes that must match on every platform and in every process.
 //!
 //! # Examples
 //!
@@ -23,9 +25,11 @@
 //! ```
 
 mod event_queue;
+mod hash;
 mod rng;
 mod time;
 
 pub use event_queue::EventQueue;
+pub use hash::Fnv1a;
 pub use rng::SeededRng;
 pub use time::{SimDuration, SimTime, VirtualClock};

@@ -1,6 +1,7 @@
 //! Partitioned, offset-addressed topics.
 
 use sctelemetry::TelemetryHandle;
+use simclock::Fnv1a;
 
 use crate::event::Event;
 
@@ -81,11 +82,7 @@ impl Topic {
 
     /// The partition a key maps to (FNV-1a hash modulo partitions).
     pub fn partition_for_key(&self, key: &str) -> PartitionId {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in key.as_bytes() {
-            h ^= *b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        let h = Fnv1a::hash(key.as_bytes());
         PartitionId((h % self.partitions.len() as u64) as u32)
     }
 

@@ -11,6 +11,7 @@
 use std::collections::BTreeMap;
 
 use serde_json::{json, Map, Value};
+use simclock::Fnv1a;
 
 use crate::store::Tsdb;
 
@@ -81,13 +82,7 @@ impl FlightRecorder {
 
     /// FNV-1a fingerprint (hex) of [`FlightRecorder::render`]'s bytes.
     pub fn fingerprint(&self) -> String {
-        let text = self.render();
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in text.as_bytes() {
-            h ^= *b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        format!("{h:016x}")
+        format!("{:016x}", Fnv1a::hash(self.render().as_bytes()))
     }
 }
 

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use serde_json::{json, Value};
-use simclock::SimTime;
+use simclock::{Fnv1a, SimTime};
 
 use crate::compress::TimeRegression;
 use crate::series::{Series, SeriesId};
@@ -170,12 +170,7 @@ impl Tsdb {
     /// byte-identical.
     pub fn fingerprint(&self) -> String {
         let text = self.to_json().to_string();
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in text.as_bytes() {
-            h ^= *b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        format!("{h:016x}")
+        format!("{:016x}", Fnv1a::hash(text.as_bytes()))
     }
 }
 

@@ -14,6 +14,8 @@
 //! every meaningful comparison untouched; the final tie-break (smaller
 //! candidate wins) is explicit in the generator regardless.
 
+use simclock::Fnv1a;
+
 use crate::key::{KernelId, TuneKey};
 
 /// Dispatch cost of one task submitted to the scpar pool, model ns.
@@ -107,11 +109,7 @@ impl CostModel {
 
     /// Seeded jitter in `[0, 1)` for `(key, candidate)`.
     fn jitter(&self, key: &TuneKey, candidate: usize) -> f64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64; // FNV-1a over the canonical key
-        for b in key.canonical().bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        let h = Fnv1a::hash(key.canonical().as_bytes());
         let z = splitmix64(self.seed ^ h ^ (candidate as u64).wrapping_mul(0x9e37));
         (z >> 11) as f64 / (1u64 << 53) as f64
     }

@@ -59,7 +59,7 @@ fn served_rows(server: &mut Server, filter: &Filter, now: SimTime) -> (Vec<Strin
         Outcome::Shed => Outcome::Shed,
     };
     let rows = served.outcome.value().cloned().unwrap_or_default();
-    (multiset(rows.into_iter().map(|(_, d)| d).collect()), tag)
+    (multiset(rows.iter().map(|(_, d)| d.clone()).collect()), tag)
 }
 
 /// serve(q) == collection.find(q) across every cache state: cold, warm
@@ -270,7 +270,7 @@ proptest! {
                     let filter = Filter::Eq("kind".into(), Doc::Str(kinds[f].into()));
                     let served = server.query(&filter, now).unwrap();
                     let rows = served.outcome.value().cloned().unwrap_or_default();
-                    let got = multiset(rows.into_iter().map(|(_, d)| d).collect());
+                    let got = multiset(rows.iter().map(|(_, d)| d.clone()).collect());
                     let want = multiset(
                         model
                             .values()
