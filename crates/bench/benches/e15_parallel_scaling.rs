@@ -22,6 +22,7 @@ use scnosql::wide_column::Table;
 use scpar::ScparConfig;
 use scprof::Profiler;
 use scstream::Topic;
+use simclock::splitmix64;
 use smartcity_core::pipeline::CityDataPipeline;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
@@ -38,14 +39,11 @@ fn time_ms(mut f: impl FnMut()) -> f64 {
 }
 
 fn splitmix_f64(seed: u64, n: usize) -> Vec<f64> {
-    let mut state = seed;
-    (0..n)
-        .map(|_| {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            (z ^ (z >> 31)) as f64 / u64::MAX as f64
+    // The i-th draw of the stream starting at `seed`.
+    (0..n as u64)
+        .map(|i| {
+            let z = splitmix64(seed.wrapping_add(i.wrapping_mul(0x9e37_79b9_7f4a_7c15)));
+            z as f64 / u64::MAX as f64
         })
         .collect()
 }

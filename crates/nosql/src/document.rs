@@ -4,9 +4,16 @@
 //! maintains secondary indexes (hash for equality, ordered for ranges), and
 //! answers [`Filter`] queries — using an index when one covers the filter,
 //! falling back to a scan otherwise.
+//!
+//! Stored documents are shared: a collection holds each one as an
+//! [`Arc<Doc>`], so replicas, caches and query answers can all hold the
+//! same allocation and a read hands out a reference-count bump, never a
+//! deep copy.
 
 use std::collections::{BTreeMap, HashMap};
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use crate::NosqlError;
 
@@ -97,6 +104,10 @@ impl Doc {
 
     /// A total-order comparison key so values can live in ordered indexes.
     /// Cross-type comparisons order by type tag; numbers unify.
+    ///
+    /// Values that compare equal under `PartialEq` share a key (`-0.0`
+    /// and `0.0` included), so an index lookup finds every document a
+    /// scan would.
     fn order_key(&self) -> OrderKey {
         match self {
             Doc::Null => OrderKey::Null,
@@ -104,14 +115,38 @@ impl Doc {
             Doc::I64(v) => OrderKey::Num(ordered_f64(*v as f64)),
             Doc::F64(v) => OrderKey::Num(ordered_f64(*v)),
             Doc::Str(s) => OrderKey::Str(s.clone()),
-            Doc::Array(_) | Doc::Object(_) => OrderKey::Composite(format!("{self:?}")),
+            Doc::Array(_) | Doc::Object(_) => {
+                OrderKey::Composite(format!("{:?}", CompositeKey(self)))
+            }
+        }
+    }
+}
+
+/// `Debug`-style text of a composite value with every float written
+/// zero-normalized, so `[-0.0]` and `[0.0]` (equal documents) format alike.
+struct CompositeKey<'a>(&'a Doc);
+
+impl fmt::Debug for CompositeKey<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            Doc::F64(v) => f.debug_tuple("F64").field(&(v + 0.0)).finish(),
+            Doc::Array(items) => f
+                .debug_list()
+                .entries(items.iter().map(CompositeKey))
+                .finish(),
+            Doc::Object(map) => f
+                .debug_map()
+                .entries(map.iter().map(|(k, v)| (k, CompositeKey(v))))
+                .finish(),
+            leaf => leaf.fmt(f),
         }
     }
 }
 
 fn ordered_f64(v: f64) -> u64 {
-    // Total-order bijection for non-NaN floats.
-    let bits = v.to_bits();
+    // Total-order bijection for non-NaN floats. Adding `0.0` turns `-0.0`
+    // into `0.0` (they are equal numbers) and leaves every other value be.
+    let bits = (v + 0.0).to_bits();
     if bits >> 63 == 0 {
         bits | (1 << 63)
     } else {
@@ -198,6 +233,17 @@ impl Filter {
         }
     }
 
+    /// The field path whose index [`Collection::find`] would answer this
+    /// filter from: a top-level `Eq`/`Range`, else the first such arm of
+    /// an `And` (depth first). `None` for filters that always scan.
+    pub fn index_path(&self) -> Option<&str> {
+        match self {
+            Filter::Eq(path, _) | Filter::Range(path, ..) => Some(path),
+            Filter::And(fs) => fs.iter().find_map(Filter::index_path),
+            _ => None,
+        }
+    }
+
     /// Whether `doc` satisfies this filter.
     pub fn matches(&self, doc: &Doc) -> bool {
         match self {
@@ -258,7 +304,7 @@ struct FieldIndex {
 #[derive(Debug, Default)]
 pub struct Collection {
     name: String,
-    docs: BTreeMap<DocId, Doc>,
+    docs: BTreeMap<DocId, Arc<Doc>>,
     indexes: HashMap<String, FieldIndex>,
     next_id: u64,
     // Atomics (not `Cell`) so `&Collection` queries can run from the
@@ -308,14 +354,16 @@ impl Collection {
         self.indexes.contains_key(path)
     }
 
-    /// Inserts a document, returning its id.
+    /// Inserts a document, returning its id. A plain [`Doc`] is wrapped;
+    /// an `Arc<Doc>` is stored as is, shared with the caller.
     ///
     /// # Errors
     ///
     /// Rejects documents carrying non-finite numbers
     /// ([`NosqlError::NonFiniteNumber`]) — they have no total order, so they
     /// can never be indexed or range-queried.
-    pub fn insert(&mut self, doc: Doc) -> Result<DocId, NosqlError> {
+    pub fn insert(&mut self, doc: impl Into<Arc<Doc>>) -> Result<DocId, NosqlError> {
+        let doc = doc.into();
         doc.check_finite(&mut Vec::new())?;
         let id = DocId(self.next_id);
         self.next_id += 1;
@@ -329,7 +377,7 @@ impl Collection {
     }
 
     /// Fetches a document by id.
-    pub fn get(&self, id: DocId) -> Option<&Doc> {
+    pub fn get(&self, id: DocId) -> Option<&Arc<Doc>> {
         self.docs.get(&id)
     }
 
@@ -341,7 +389,12 @@ impl Collection {
     ///
     /// Rejects documents carrying non-finite numbers, like
     /// [`Collection::insert`]; the stored document is untouched.
-    pub fn update(&mut self, id: DocId, doc: Doc) -> Result<Option<Doc>, NosqlError> {
+    pub fn update(
+        &mut self,
+        id: DocId,
+        doc: impl Into<Arc<Doc>>,
+    ) -> Result<Option<Arc<Doc>>, NosqlError> {
+        let doc = doc.into();
         doc.check_finite(&mut Vec::new())?;
         if !self.docs.contains_key(&id) {
             return Ok(None);
@@ -372,7 +425,7 @@ impl Collection {
     }
 
     /// Removes a document by id, returning it.
-    pub fn remove(&mut self, id: DocId) -> Option<Doc> {
+    pub fn remove(&mut self, id: DocId) -> Option<Arc<Doc>> {
         let doc = self.docs.remove(&id)?;
         for (path, index) in &mut self.indexes {
             if let Some(v) = doc.path(path) {
@@ -393,13 +446,13 @@ impl Collection {
     ///
     /// Rejects malformed filters ([`Filter::validate`]) — an inverted range
     /// on an indexed field previously aborted inside the B-tree.
-    pub fn find(&self, filter: &Filter) -> Result<Vec<(DocId, &Doc)>, NosqlError> {
+    pub fn find(&self, filter: &Filter) -> Result<Vec<(DocId, &Arc<Doc>)>, NosqlError> {
         filter.validate()?;
         let candidates = self.candidates(filter);
         Ok(match candidates {
             Some(ids) => {
                 self.index_hits.fetch_add(1, Ordering::Relaxed);
-                let mut hits: Vec<(DocId, &Doc)> = ids
+                let mut hits: Vec<(DocId, &Arc<Doc>)> = ids
                     .into_iter()
                     .filter_map(|id| self.docs.get(&id).map(|d| (id, d)))
                     .filter(|(_, d)| filter.matches(d))
@@ -468,7 +521,7 @@ impl Collection {
     }
 
     /// Iterates all documents in id order.
-    pub fn iter(&self) -> impl Iterator<Item = (DocId, &Doc)> {
+    pub fn iter(&self) -> impl Iterator<Item = (DocId, &Arc<Doc>)> {
         self.docs.iter().map(|(&id, d)| (id, d))
     }
 }

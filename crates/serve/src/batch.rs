@@ -24,9 +24,7 @@
 use scneural::exec::ExecCtx;
 use scneural::net::Sequential;
 use scneural::tensor::Tensor;
-use simclock::{Fnv1a, SimDuration, SimTime};
-
-use crate::shard::scramble;
+use simclock::{splitmix64, Fnv1a, SimDuration, SimTime};
 
 /// Batching knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -58,7 +56,7 @@ pub fn row_fingerprint(row: &[f32]) -> u64 {
     for v in row {
         h.write(&v.to_bits().to_le_bytes());
     }
-    scramble(h.finish())
+    splitmix64(h.finish())
 }
 
 /// One flushed batch: per-request outputs plus what the batch looked like.

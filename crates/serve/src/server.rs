@@ -29,7 +29,7 @@
 //! front of the fan-out so a persistently dark backend stops being probed
 //! on every request.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use scfault::{CircuitBreaker, FaultPlan, OutageWindows};
@@ -61,7 +61,10 @@ pub const KERNEL_CACHE: &str = "serve/cache";
 /// Answers are immutable and shared: the query cache and every caller
 /// served from it hold the same allocation, so a cache hit is a
 /// reference-count bump rather than a copy of every key and document.
-pub type Rows = Arc<[(String, Doc)]>;
+/// Each key and document is itself shared with the shard that stores it,
+/// so building an answer on a miss bumps two counts per row and copies
+/// nothing.
+pub type Rows = Arc<[(Arc<str>, Arc<Doc>)]>;
 
 /// All serving knobs in one place.
 #[derive(Debug, Clone)]
@@ -252,8 +255,11 @@ impl ServeStats {
 #[derive(Debug, Default)]
 struct Shard {
     collection: Collection,
-    /// Per-shard `DocId` → serving key, for mapping fan-out hits back.
-    keys: BTreeMap<DocId, String>,
+    /// Per-shard `DocId` → (serving key, replica rank), for mapping
+    /// fan-out hits back. Rank 0 is the key's primary; rank `i` is the
+    /// `i`-th replica in ring order, kept current by `put` and
+    /// `rebalance`.
+    keys: BTreeMap<DocId, (Arc<str>, usize)>,
 }
 
 /// The sharded, cached, batched serving front end. See the module docs.
@@ -279,7 +285,10 @@ pub struct Server {
     map: ShardMap,
     shards: BTreeMap<u32, Shard>,
     /// key → `(shard, doc id)` replica placements, ring order.
-    directory: BTreeMap<String, Vec<(u32, DocId)>>,
+    directory: BTreeMap<Arc<str>, Vec<(u32, DocId)>>,
+    /// Field paths every shard indexes: each one a query has filtered on
+    /// (see [`Filter::index_path`]).
+    indexed: BTreeSet<String>,
     model: Option<Sequential>,
     ctx: ExecCtx,
     query_cache: QueryCache<Rows>,
@@ -310,6 +319,7 @@ impl Server {
             map,
             shards,
             directory: BTreeMap::new(),
+            indexed: BTreeSet::new(),
             model: None,
             ctx: ExecCtx::serial(),
             query_cache: QueryCache::new(cfg.query_cache),
@@ -466,33 +476,36 @@ impl Server {
 
     /// Inserts or replaces the document stored under `key` on every
     /// replica shard, then invalidates the query cache (generation bump)
-    /// before acknowledging.
+    /// before acknowledging. The document is wrapped once; every replica
+    /// (and every later answer) shares that one allocation.
     ///
     /// # Errors
     ///
     /// Propagates [`NosqlError`] for invalid documents; nothing is stored
     /// and no invalidation happens on error.
     pub fn put(&mut self, key: &str, doc: Doc, now: SimTime) -> Result<(), NosqlError> {
+        let doc = Arc::new(doc);
         // Replica writes apply the same doc, so a validation failure hits
         // the first replica before anything is stored — no partial writes.
         if let Some(existing) = self.directory.get(key) {
             // Replace: update in place on each replica.
             for (node, id) in existing {
                 let shard = self.shards.get_mut(node).expect("directory is consistent");
-                shard.collection.update(*id, doc.clone())?;
+                shard.collection.update(*id, Arc::clone(&doc))?;
             }
         } else {
+            let key: Arc<str> = Arc::from(key);
             let nodes = self
                 .map
                 .route_replicas(key.as_bytes(), self.effective_replicas());
             let mut placements = Vec::with_capacity(nodes.len());
-            for node in nodes {
+            for (rank, node) in nodes.into_iter().enumerate() {
                 let shard = self.shards.get_mut(&node).expect("ring nodes have shards");
-                let id = shard.collection.insert(doc.clone())?;
-                shard.keys.insert(id, key.to_string());
+                let id = shard.collection.insert(Arc::clone(&doc))?;
+                shard.keys.insert(id, (Arc::clone(&key), rank));
                 placements.push((node, id));
             }
-            self.directory.insert(key.to_string(), placements);
+            self.directory.insert(key, placements);
         }
         self.generation += 1;
         self.stats.writes += 1;
@@ -653,7 +666,7 @@ impl Server {
     ///
     /// This path performs no filter evaluation and cannot fail; the
     /// `Result` mirrors [`Server::query`] for a uniform calling shape.
-    pub fn get(&mut self, key: &str, now: SimTime) -> Result<Served<Option<Doc>>, NosqlError> {
+    pub fn get(&mut self, key: &str, now: SimTime) -> Result<Served<Option<Arc<Doc>>>, NosqlError> {
         let ctx = self.next_ctx();
         if !self.rate_gate(now) {
             self.shed();
@@ -671,7 +684,7 @@ impl Server {
                     g.child_span("cache/hit", now, now + CACHE_HIT_COST);
                 });
                 return Ok(Served {
-                    outcome: Outcome::Cached(rows.first().map(|(_, d)| d.clone())),
+                    outcome: Outcome::Cached(rows.first().map(|(_, d)| Arc::clone(d))),
                     latency: CACHE_HIT_COST,
                 });
             }
@@ -684,7 +697,8 @@ impl Server {
         if !self.breaker.allow(now) {
             return Ok(self.stale_get(fp, now, ctx));
         }
-        let placements = self.directory.get(key).map_or(&[][..], Vec::as_slice);
+        let entry = self.directory.get_key_value(key);
+        let placements = entry.map_or(&[][..], |(_, p)| p.as_slice());
         let mut chosen: Option<(u32, DocId)> = None;
         for (i, (node, id)) in placements.iter().enumerate() {
             if !self.shard_down(*node, now) {
@@ -702,8 +716,12 @@ impl Server {
         match chosen {
             Some((node, id)) => {
                 self.breaker.record_success();
+                let (stored_key, _) = entry.expect("a chosen replica is in the directory");
                 let doc = self.shards[&node].collection.get(id).cloned();
-                let rows: Rows = doc.iter().map(|d| (key.to_string(), d.clone())).collect();
+                let rows: Rows = doc
+                    .iter()
+                    .map(|d| (Arc::clone(stored_key), Arc::clone(d)))
+                    .collect();
                 self.query_cache.insert(fp, (self.generation, rows), now);
                 let latency = wait + self.queue.service_time();
                 self.trace_request("request/get", now, now + latency, ctx, |g| {
@@ -737,7 +755,7 @@ impl Server {
         }
     }
 
-    fn stale_get(&mut self, fp: u64, now: SimTime, ctx: SpanContext) -> Served<Option<Doc>> {
+    fn stale_get(&mut self, fp: u64, now: SimTime, ctx: SpanContext) -> Served<Option<Arc<Doc>>> {
         match self.query_cache.peek_ignore_ttl(&fp) {
             Some((_, rows)) => {
                 self.note_stale();
@@ -745,7 +763,7 @@ impl Server {
                     g.child_span("cache/stale", now, now + CACHE_HIT_COST);
                 });
                 Served {
-                    outcome: Outcome::Stale(rows.first().map(|(_, d)| d.clone())),
+                    outcome: Outcome::Stale(rows.first().map(|(_, d)| Arc::clone(d))),
                     latency: CACHE_HIT_COST,
                 }
             }
@@ -810,10 +828,13 @@ impl Server {
             return Ok(self.stale_query(fp, now, ctx));
         }
 
+        self.index_on_first_use(filter);
+
         // Canonical owner per key: its first live replica. Keys with no
         // live replica make the answer degraded. With every shard live,
-        // each key's owner is its primary: nothing is rerouted or
-        // unreachable, so the directory walk and owner map are skipped.
+        // each key's owner is its primary, which the shard holding it
+        // knows as rank 0: nothing is rerouted or unreachable, so the
+        // directory walk and owner map are skipped.
         let all_live = self.shards.keys().all(|&node| !self.shard_down(node, now));
         let mut owner: BTreeMap<&str, u32> = BTreeMap::new();
         let mut unreachable = 0usize;
@@ -829,7 +850,7 @@ impl Server {
                         if i > 0 {
                             rerouted += 1;
                         }
-                        owner.insert(key.as_str(), *node);
+                        owner.insert(key, *node);
                     }
                     None => unreachable += 1,
                 }
@@ -850,14 +871,14 @@ impl Server {
                 continue;
             }
             for (id, doc) in shard.collection.find(filter)? {
-                let key = shard.keys.get(&id).expect("every doc has a serving key");
+                let (key, rank) = shard.keys.get(&id).expect("every doc has a serving key");
                 let owned = if all_live {
-                    self.directory[key][0].0 == node
+                    *rank == 0
                 } else {
-                    owner.get(key.as_str()) == Some(&node)
+                    owner.get(&**key) == Some(&node)
                 };
                 if owned {
-                    rows.push((key.clone(), doc.clone()));
+                    rows.push((Arc::clone(key), Arc::clone(doc)));
                 }
             }
         }
@@ -905,6 +926,24 @@ impl Server {
             outcome: Outcome::Fresh(rows),
             latency,
         })
+    }
+
+    /// Index on first use: the first query filtering on a path an index
+    /// can serve ([`Filter::index_path`]) makes every shard index it, and
+    /// shards added later index it too. An indexed `find` returns exactly
+    /// the documents a scan would, so this changes the cost of a miss,
+    /// never an answer.
+    fn index_on_first_use(&mut self, filter: &Filter) {
+        let Some(path) = filter.index_path() else {
+            return;
+        };
+        if self.indexed.contains(path) {
+            return;
+        }
+        for shard in self.shards.values_mut() {
+            shard.collection.create_index(path);
+        }
+        self.indexed.insert(path.to_string());
     }
 
     fn stale_query(&mut self, fp: u64, now: SimTime, ctx: SpanContext) -> Served<Rows> {
@@ -1106,7 +1145,10 @@ impl Server {
             return 0;
         }
         self.map.add_node(node);
-        self.shards.entry(node).or_default();
+        let shard = self.shards.entry(node).or_default();
+        for path in &self.indexed {
+            shard.collection.create_index(path);
+        }
         self.rebalance()
     }
 
@@ -1126,9 +1168,13 @@ impl Server {
         moves
     }
 
+    /// Moves document copies to each key's current replica set and
+    /// re-ranks the copies that stay: a kept replica whose ring position
+    /// changed (a new primary arrived ahead of it, or the old primary
+    /// left) takes its new rank.
     fn rebalance(&mut self) -> usize {
         let replicas = self.effective_replicas();
-        let keys: Vec<String> = self.directory.keys().cloned().collect();
+        let keys: Vec<Arc<str>> = self.directory.keys().cloned().collect();
         let mut moves = 0usize;
         for key in keys {
             let old = self.directory.get(&key).cloned().expect("key listed");
@@ -1143,16 +1189,19 @@ impl Server {
                 .cloned()
                 .expect("at least one replica still holds the doc");
             let mut placements = Vec::with_capacity(new_nodes.len());
-            for node in &new_nodes {
+            for (rank, node) in new_nodes.iter().enumerate() {
+                let shard = self.shards.get_mut(node).expect("ring nodes have shards");
                 match old.iter().find(|(n, _)| n == node) {
-                    Some(&(n, id)) => placements.push((n, id)),
+                    Some(&(n, id)) => {
+                        shard.keys.get_mut(&id).expect("kept replica is keyed").1 = rank;
+                        placements.push((n, id));
+                    }
                     None => {
-                        let shard = self.shards.get_mut(node).expect("ring nodes have shards");
                         let id = shard
                             .collection
-                            .insert(doc.clone())
+                            .insert(Arc::clone(&doc))
                             .expect("stored docs are always valid");
-                        shard.keys.insert(id, key.clone());
+                        shard.keys.insert(id, (Arc::clone(&key), rank));
                         placements.push((*node, id));
                         moves += 1;
                     }
@@ -1203,7 +1252,7 @@ mod tests {
     fn put_get_round_trips() {
         let mut s = seeded_server(ServeConfig::default());
         let got = s.get("k-003", SimTime::from_millis(1)).unwrap();
-        assert!(matches!(&got.outcome, Outcome::Fresh(Some(d)) if d == &doc("odd", 3)));
+        assert!(matches!(&got.outcome, Outcome::Fresh(Some(d)) if **d == doc("odd", 3)));
         let missing = s.get("nope", SimTime::from_millis(2)).unwrap();
         assert!(matches!(missing.outcome, Outcome::Fresh(None)));
     }
@@ -1478,6 +1527,65 @@ mod tests {
             let TraceRecord::Event(e) = r else { continue };
             assert!(e.detail.starts_with("trace="), "detail: {}", e.detail);
         }
+    }
+
+    /// The shard-side replica rank follows ring order through every
+    /// rebalance: a kept copy whose position changes is re-ranked, so an
+    /// all-live query (which trusts rank 0 as the owner) still returns
+    /// each key exactly once.
+    #[test]
+    fn owner_rank_follows_ring_order_through_rebalances() {
+        let mut s = seeded_server(ServeConfig::default());
+        let model: Vec<(String, Doc)> = (0..20)
+            .map(|i| {
+                let kind = if i % 2 == 0 { "even" } else { "odd" };
+                (format!("k-{i:03}"), doc(kind, i))
+            })
+            .collect();
+        let mut ms = 0;
+        let mut assert_fresh_answer_matches = |s: &mut Server| {
+            ms += 1;
+            let now = SimTime::from_millis(ms);
+            // Rewrite a key unchanged so the query cannot be a cache hit.
+            s.put("k-000", doc("even", 0), now).unwrap();
+            let served = s.query(&Filter::Exists("kind".into()), now).unwrap();
+            let Outcome::Fresh(rows) = served.outcome else {
+                panic!("all-live query after a write must be fresh")
+            };
+            let rows: Vec<(String, Doc)> = rows
+                .iter()
+                .map(|(k, d)| (k.to_string(), Doc::clone(d)))
+                .collect();
+            assert_eq!(rows, model);
+        };
+        let primaries = |s: &Server| -> BTreeMap<Arc<str>, u32> {
+            s.directory
+                .iter()
+                .map(|(k, p)| (Arc::clone(k), p[0].0))
+                .collect()
+        };
+        assert_fresh_answer_matches(&mut s);
+
+        // Add shards until some key's primary moves to the new shard while
+        // its old primary keeps a copy as the second replica.
+        let mut demoted = false;
+        for node in 10..20 {
+            let before = primaries(&s);
+            s.add_shard(node);
+            assert_fresh_answer_matches(&mut s);
+            demoted |= s.directory.iter().any(|(key, placements)| {
+                placements[0].0 == node && placements.iter().any(|(n, _)| *n == before[key])
+            });
+            if demoted {
+                break;
+            }
+        }
+        assert!(demoted, "no added shard took over a primary");
+
+        // Remove a primary: its second replica is promoted to rank 0.
+        let primary = s.directory["k-000"][0].0;
+        s.remove_shard(primary);
+        assert_fresh_answer_matches(&mut s);
     }
 
     #[test]

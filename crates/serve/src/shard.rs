@@ -17,7 +17,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::{self, Write};
 
-use simclock::Fnv1a;
+use simclock::{splitmix64, Fnv1a};
 
 /// FNV-1a 64-bit hash over raw bytes, finished with a splitmix64 scramble.
 ///
@@ -26,7 +26,7 @@ use simclock::Fnv1a;
 /// platforms, unlike `std::hash::DefaultHasher` which is seeded per
 /// process.
 pub fn hash_bytes(bytes: &[u8]) -> u64 {
-    scramble(Fnv1a::hash(bytes))
+    splitmix64(Fnv1a::hash(bytes))
 }
 
 /// [`hash_bytes`] of the formatted text of `args`, streamed into the
@@ -34,15 +34,7 @@ pub fn hash_bytes(bytes: &[u8]) -> u64 {
 pub(crate) fn hash_fmt(args: fmt::Arguments<'_>) -> u64 {
     let mut h = Fnv1a::default();
     h.write_fmt(args).expect("hashing cannot fail");
-    scramble(h.finish())
-}
-
-/// The splitmix64 finalizer applied to a raw FNV-1a value.
-pub(crate) fn scramble(h: u64) -> u64 {
-    let mut z = h.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    splitmix64(h.finish())
 }
 
 fn vnode_point(node: u32, replica: u32) -> u64 {

@@ -1,4 +1,4 @@
-//! The workspace's one FNV-1a hash.
+//! The workspace's one FNV-1a hash and one splitmix64 mixer.
 
 use std::fmt;
 
@@ -68,6 +68,27 @@ impl fmt::Write for Fnv1a {
     }
 }
 
+/// The splitmix64 finalizer: a bijective `u64` mixer.
+///
+/// The workspace's one copy. It scrambles weak seeds (0, 1, 2, ...) into
+/// well-spread states, finishes raw [`Fnv1a`] key hashes, and derives
+/// trace ids. Pure arithmetic, so it also runs in `const` contexts.
+///
+/// # Examples
+///
+/// ```
+/// use simclock::splitmix64;
+///
+/// assert_eq!(splitmix64(0), 0xE220_A839_7B1D_CDAF);
+/// ```
+#[inline]
+pub const fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,6 +99,13 @@ mod tests {
         assert_eq!(Fnv1a::hash(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(Fnv1a::hash(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(Fnv1a::hash(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    #[test]
+    fn splitmix64_known_answers() {
+        assert_eq!(splitmix64(0), 0xE220_A839_7B1D_CDAF);
+        assert_eq!(splitmix64(1), 0x910A_2DEC_8902_5CC1);
+        assert_eq!(splitmix64(42), 0xBDD7_3226_2FEB_6E95);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! - [`SeededRng`]: a tiny, fast, fully deterministic xorshift* PRNG used
 //!   wherever cross-platform bit-for-bit reproducibility matters.
 //! - [`Fnv1a`]: the workspace's one streaming FNV-1a hash, for digests and
-//!   key hashes that must match on every platform and in every process.
+//!   key hashes that must match on every platform and in every process,
+//!   and [`splitmix64`], the one bijective mixer that finishes them.
 //!
 //! # Examples
 //!
@@ -30,6 +31,6 @@ mod rng;
 mod time;
 
 pub use event_queue::EventQueue;
-pub use hash::Fnv1a;
+pub use hash::{splitmix64, Fnv1a};
 pub use rng::SeededRng;
 pub use time::{SimDuration, SimTime, VirtualClock};

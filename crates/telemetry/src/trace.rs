@@ -11,20 +11,9 @@
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use simclock::SimTime;
+use simclock::{splitmix64, SimTime};
 
 use crate::work::WorkDelta;
-
-/// `splitmix64` finalizer: the id-derivation mixer. Bijective over `u64`,
-/// so distinct inputs can never collide, and pure arithmetic, so deriving
-/// ids costs nothing even with telemetry disabled.
-#[inline]
-const fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// Trace-id stream salt for scserve request traces (see
 /// [`TraceId::derive`]).
@@ -48,8 +37,8 @@ impl TraceId {
     /// (e.g. serving requests vs. fog jobs) so their indices cannot
     /// collide.
     pub const fn derive(seed: u64, stream: u64, index: u64) -> TraceId {
-        TraceId(mix64(
-            mix64(seed ^ stream.wrapping_mul(0xD1B5_4A32_D192_ED03)) ^ index,
+        TraceId(splitmix64(
+            splitmix64(seed ^ stream.wrapping_mul(0xD1B5_4A32_D192_ED03)) ^ index,
         ))
     }
 
@@ -88,7 +77,7 @@ impl SpanContext {
     pub const fn root(trace: TraceId) -> SpanContext {
         SpanContext {
             trace,
-            span: SpanId(mix64(trace.0 ^ 0xA0B4_28DB)),
+            span: SpanId(splitmix64(trace.0 ^ 0xA0B4_28DB)),
             parent: None,
         }
     }
@@ -98,7 +87,7 @@ impl SpanContext {
     pub const fn child(&self, seq: u64) -> SpanContext {
         SpanContext {
             trace: self.trace,
-            span: SpanId(mix64(
+            span: SpanId(splitmix64(
                 self.trace.0
                     ^ self.span.0
                     ^ seq.wrapping_add(1).wrapping_mul(0x5851_F42D_4C95_7F2D),

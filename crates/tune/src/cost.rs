@@ -14,7 +14,7 @@
 //! every meaningful comparison untouched; the final tie-break (smaller
 //! candidate wins) is explicit in the generator regardless.
 
-use simclock::Fnv1a;
+use simclock::{splitmix64, Fnv1a};
 
 use crate::key::{KernelId, TuneKey};
 
@@ -141,14 +141,6 @@ fn fanout_ns(units: u64, chunk: u64, threads: u64, per_unit_ns: f64, per_task_ns
         i += 1;
     }
     worker.iter().copied().fold(0.0, f64::max)
-}
-
-/// splitmix64 step, the repo's stock seeding mixer.
-fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

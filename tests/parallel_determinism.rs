@@ -20,17 +20,14 @@ use smartcity::neural::linalg::Mat;
 use smartcity::neural::net::Sequential;
 use smartcity::neural::tensor::Tensor;
 use smartcity::par::ScparConfig;
+use smartcity::simclock::splitmix64;
 
 /// Deterministic pseudo-random fill: a splitmix64 stream mapped to [-1, 1].
 fn fill(seed: u64, n: usize) -> Vec<f64> {
-    let mut state = seed;
-    (0..n)
-        .map(|_| {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^= z >> 31;
+    // The i-th draw of the stream starting at `seed`.
+    (0..n as u64)
+        .map(|i| {
+            let z = splitmix64(seed.wrapping_add(i.wrapping_mul(0x9e37_79b9_7f4a_7c15)));
             (z as f64 / u64::MAX as f64) * 2.0 - 1.0
         })
         .collect()

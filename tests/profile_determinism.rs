@@ -15,20 +15,17 @@ use smartcity::core::pipeline::CityDataPipeline;
 use smartcity::neural::exec::ExecCtx;
 use smartcity::par::ScparConfig;
 use smartcity::prof::{CostDimension, Profiler};
+use smartcity::simclock::splitmix64;
 use smartcity::telemetry::WorkDelta;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
 /// Deterministic pseudo-random fill in [-1, 1] (splitmix64).
 fn fill(seed: u64, n: usize) -> Vec<f32> {
-    let mut state = seed;
-    (0..n)
-        .map(|_| {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^= z >> 31;
+    // The i-th draw of the stream starting at `seed`.
+    (0..n as u64)
+        .map(|i| {
+            let z = splitmix64(seed.wrapping_add(i.wrapping_mul(0x9e37_79b9_7f4a_7c15)));
             ((z as f64 / u64::MAX as f64) * 2.0 - 1.0) as f32
         })
         .collect()

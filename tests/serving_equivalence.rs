@@ -44,7 +44,7 @@ fn reference_find(reference: &Collection, filter: &Filter) -> Vec<String> {
             .find(filter)
             .expect("reference filters are valid")
             .into_iter()
-            .map(|(_, d)| d.clone())
+            .map(|(_, d)| Doc::clone(d))
             .collect(),
     )
 }
@@ -59,7 +59,10 @@ fn served_rows(server: &mut Server, filter: &Filter, now: SimTime) -> (Vec<Strin
         Outcome::Shed => Outcome::Shed,
     };
     let rows = served.outcome.value().cloned().unwrap_or_default();
-    (multiset(rows.iter().map(|(_, d)| d.clone()).collect()), tag)
+    (
+        multiset(rows.iter().map(|(_, d)| Doc::clone(d)).collect()),
+        tag,
+    )
 }
 
 /// serve(q) == collection.find(q) across every cache state: cold, warm
@@ -264,13 +267,13 @@ proptest! {
                     let key = format!("k-{k:02}");
                     let served = server.get(&key, now).unwrap();
                     let got = served.outcome.value().cloned().flatten();
-                    prop_assert_eq!(got.as_ref(), model.get(&key), "get({}) diverged", key);
+                    prop_assert_eq!(got.as_deref(), model.get(&key), "get({}) diverged", key);
                 }
                 Op::Query(f) => {
                     let filter = Filter::Eq("kind".into(), Doc::Str(kinds[f].into()));
                     let served = server.query(&filter, now).unwrap();
                     let rows = served.outcome.value().cloned().unwrap_or_default();
-                    let got = multiset(rows.iter().map(|(_, d)| d.clone()).collect());
+                    let got = multiset(rows.iter().map(|(_, d)| Doc::clone(d)).collect());
                     let want = multiset(
                         model
                             .values()
